@@ -30,9 +30,10 @@
 use benchgen::{generate, DatasetSpec};
 use obs::Json;
 use orpheus_core::models::{load_cvd, SplitByRlist};
-use orpheus_core::query::VersionedQuery;
+use orpheus_core::plan::{self, Source};
+use orpheus_core::query::VQuery;
 use partition::Vid;
-use relstore::{BinOp, Database, ExecContext, Expr, Row, Value, WorkerPool};
+use relstore::{BinOp, Database, ExecContext, Row, Value, WorkerPool};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -150,6 +151,13 @@ fn main() {
         t1 / (io + (t1 - io) / n as f64)
     };
 
+    let source = Source::tables(&db, &cvd, &model).expect("query source");
+    let query = VQuery::SelectVersions {
+        cvd: cvd.name().to_owned(),
+        versions: vec![target],
+        predicate: Some(("a1".into(), BinOp::Gt, Value::Int64(0))),
+        limit: None,
+    };
     let io_before = db.io_stats();
     let mut base_checkout: Option<(Vec<Row>, Duration)> = None;
     let mut base_query: Option<(Vec<Row>, Duration)> = None;
@@ -177,17 +185,10 @@ fn main() {
         });
 
         // `a1 > 0` scans and filters every record of the target version.
-        let predicate = Expr::Bin(
-            BinOp::Gt,
-            Box::new(Expr::col(2)),
-            Box::new(Expr::Const(Value::Int64(0))),
-        );
         let (q_rows, q_t) = best_of(|| {
-            let q = VersionedQuery::new(&db, &cvd, &model).with_pool(pool.clone());
-            let mut ctx = ExecContext::new();
-            q.select_versions(&[target], Some(predicate.clone()), None, &mut ctx)
-                .expect("select_versions")
-                .rows
+            let logical = plan::plan(&query, &source).expect("plan");
+            let (mut exec, _) = plan::lower(logical, &source, pool.as_ref(), false).expect("lower");
+            relstore::collect(exec.as_mut(), &mut ExecContext::new()).expect("select_versions")
         });
         if threads > 1 {
             // checkout + query legs, `reps()` runs each, one ParHashJoin

@@ -1,8 +1,5 @@
 //! Machine-readable output for `orpheus-lint --json`.
 //!
-//! A writer-only vendoring of the `obs` crate's JSON module (the
-//! workspace is offline and this crate stays dependency-free, so we
-//! keep the ~40 lines of JSON we emit rather than linking anything).
 //! The schema is pinned by `tests/cli.rs::json_output_matches_schema`,
 //! which parses this output back with `obs::json`:
 //!
@@ -20,49 +17,45 @@
 //! `lint_sources`, so the output is stable across runs.
 
 use crate::FileFinding;
+use obs::json::Json;
 
 /// Current schema identifier; bump the suffix on breaking changes.
 pub const SCHEMA: &str = "orpheus-lint/1";
 
 /// Render the report document.
 pub fn render(findings: &[FileFinding], files_scanned: usize) -> String {
-    let mut out = String::new();
-    out.push_str("{\"schema\":");
-    write_escaped(&mut out, SCHEMA);
-    out.push_str(&format!(",\"files_scanned\":{files_scanned}"));
-    out.push_str(",\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"path\":");
-        write_escaped(&mut out, &f.path);
-        out.push_str(&format!(",\"line\":{}", f.finding.line));
-        out.push_str(",\"rule\":");
-        write_escaped(&mut out, f.finding.rule.id());
-        out.push_str(",\"msg\":");
-        write_escaped(&mut out, &f.finding.msg);
-        out.push('}');
-    }
-    out.push_str("]}\n");
-    out
+    let findings: Vec<String> = findings
+        .iter()
+        .map(|f| {
+            object(&[
+                ("path", string(&f.path)),
+                ("line", f.finding.line.to_string()),
+                ("rule", string(f.finding.rule.id())),
+                ("msg", string(&f.finding.msg)),
+            ])
+        })
+        .collect();
+    let doc = object(&[
+        ("schema", string(SCHEMA)),
+        ("files_scanned", files_scanned.to_string()),
+        ("findings", format!("[{}]", findings.join(","))),
+    ]);
+    doc + "\n"
 }
 
-/// String escaping per RFC 8259 (vendored from `obs::json`).
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// A JSON string literal, escaped by `obs::json`.
+fn string(s: &str) -> String {
+    Json::Str(s.to_owned()).to_string()
+}
+
+/// A compact object of rendered values, keys in the schema's order (a
+/// `Json::Obj` would sort them).
+fn object(fields: &[(&str, String)]) -> String {
+    let fields: Vec<String> = fields
+        .iter()
+        .map(|(key, value)| format!("{}:{value}", string(key)))
+        .collect();
+    format!("{{{}}}", fields.join(","))
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! `orpheus-lint` — lint the workspace (or single files) against the
-//! L001–L012 rule catalog. Exit codes: 0 clean, 1 findings, 2 usage or
+//! L001–L013 rule catalog. Exit codes: 0 clean, 1 findings, 2 usage or
 //! I/O error.
 
 use std::path::Path;

@@ -34,6 +34,10 @@
 //! - **L012** — every `pub fn` command entry point (returning
 //!   `CommandOutput` in orpheus-core/orpheus-server) must create an obs
 //!   span, directly or transitively, or carry a reasoned suppression.
+//! - **L013** — no relstore operator construction in orpheus-core
+//!   (outside `plan.rs` and `models/`) or orpheus-server library code:
+//!   every versioned query is lowered to operators by `plan::lower`
+//!   alone, so `run`, `EXPLAIN ANALYZE` and snapshot reads cannot drift.
 //!
 //! Suppression: a non-doc comment `// lint:allow(L001): reason` on the
 //! finding's line or the line directly above silences that rule there.
@@ -63,6 +67,29 @@ const DETERMINISTIC_PREFIXES: &[&str] = &["crates/relstore/src/cost", "crates/re
 /// The morsel dispatch path, which must stay zero-copy (L008).
 const PAR_PATH_PREFIXES: &[&str] = &["crates/relstore/src/par"];
 
+/// Code that reaches relstore operators only through `plan::lower`
+/// (L013), and the exemptions inside it.
+const PLAN_CLIENT_PREFIXES: &[&str] = &["crates/orpheus-core/src/", "crates/orpheus-server/src/"];
+const PLAN_OWNER_PREFIXES: &[&str] = &[
+    "crates/orpheus-core/src/plan.rs",
+    "crates/orpheus-core/src/models/",
+];
+
+/// The relstore operators L013 keeps inside `plan::lower`.
+const RELSTORE_OPERATORS: &[&str] = &[
+    "SeqScan",
+    "Values",
+    "Filter",
+    "Limit",
+    "Project",
+    "Unnest",
+    "HashJoin",
+    "ParHashJoin",
+    "HashAggregate",
+    "MergeJoin",
+    "Sort",
+];
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     L001,
@@ -77,6 +104,7 @@ pub enum Rule {
     L010,
     L011,
     L012,
+    L013,
 }
 
 impl Rule {
@@ -94,6 +122,7 @@ impl Rule {
             Rule::L010 => "L010",
             Rule::L011 => "L011",
             Rule::L012 => "L012",
+            Rule::L013 => "L013",
         }
     }
 
@@ -111,6 +140,7 @@ impl Rule {
             "L010" => Some(Rule::L010),
             "L011" => Some(Rule::L011),
             "L012" => Some(Rule::L012),
+            "L013" => Some(Rule::L013),
             _ => None,
         }
     }
@@ -136,6 +166,10 @@ pub struct FileClass {
     /// `crates/relstore/src/par*` — the morsel dispatch path, which must
     /// ship zero-copy page leases, never owned snapshots (L008).
     pub par_path: bool,
+    /// orpheus-core (outside `plan.rs` and `models/`) and orpheus-server
+    /// library code, which builds relstore operators only through
+    /// `plan::lower` (L013).
+    pub plan_client: bool,
     /// Integration-test source (a `tests/` directory): compiled only into
     /// test harnesses, so the engine/thread rules don't apply — like
     /// `#[cfg(test)]` regions, but path-scoped (integration tests carry
@@ -155,11 +189,14 @@ pub fn classify(rel_path: &str) -> FileClass {
     let deterministic = DETERMINISTIC_PREFIXES.iter().any(|p| rel.starts_with(p));
     let pool_code = rel.starts_with("crates/exec-pool/");
     let par_path = PAR_PATH_PREFIXES.iter().any(|p| rel.starts_with(p));
+    let plan_client = PLAN_CLIENT_PREFIXES.iter().any(|p| rel.starts_with(p))
+        && !PLAN_OWNER_PREFIXES.iter().any(|p| rel.starts_with(p));
     FileClass {
         engine_lib,
         deterministic,
         pool_code,
         par_path,
+        plan_client,
         test_code,
     }
 }
@@ -175,7 +212,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
         .collect()
 }
 
-/// The token-level rules (L001–L008 plus L011's `.ok();` arm) for one
+/// The token-level rules (L001–L008, L013 plus L011's `.ok();` arm) for one
 /// lexed file. The graph rules (L009/L010/L012 and L011's `let _ =`
 /// arm) are added by `graph::analyze`; suppressions are applied by
 /// [`finalize`] once both are in.
@@ -200,6 +237,9 @@ pub(crate) fn per_file_findings(rel_path: &str, lexed: &Lexed, in_test: &[bool])
     }
     if class.par_path {
         l008_no_owned_snapshots_on_par_path(toks, in_test, &mut findings);
+    }
+    if class.plan_client {
+        l013_operators_only_in_lowering(toks, in_test, &mut findings);
     }
     findings
 }
@@ -606,6 +646,46 @@ fn l008_no_owned_snapshots_on_par_path(
                       page before dispatch; use `Table::lease_page` views \
                       so clean pages ship to workers zero-copy"
                     .to_owned(),
+            });
+        }
+    }
+}
+
+/// L013: a relstore operator built outside `plan::lower` is a second
+/// plan path — `run`, `EXPLAIN ANALYZE` and snapshot reads could then
+/// execute different operators for one query. Fires on an operator's
+/// associated call (`SeqScan::new`, `Values::ints`, …) and on a
+/// `relstore::wrap(…)` call.
+fn l013_operators_only_in_lowering(toks: &[Tok], in_test: &[bool], findings: &mut Vec<Finding>) {
+    for i in 0..toks.len() {
+        if in_test[i] {
+            continue;
+        }
+        let TokKind::Ident(name) = &toks[i].kind else {
+            continue;
+        };
+        let operator_call = RELSTORE_OPERATORS.contains(&name.as_str())
+            && matches!(toks.get(i + 1), Some(t) if t.is_punct(':'))
+            && matches!(toks.get(i + 2), Some(t) if t.is_punct(':'))
+            && matches!(
+                toks.get(i + 3),
+                Some(Tok {
+                    kind: TokKind::Ident(_),
+                    ..
+                })
+            );
+        let wrap_call = name == "wrap"
+            && matches!(toks.get(i + 1), Some(t) if t.is_punct('('))
+            && !(i > 0 && (toks[i - 1].is_punct('.') || toks[i - 1].is_ident("fn")));
+        if operator_call || wrap_call {
+            findings.push(Finding {
+                line: toks[i].line,
+                rule: Rule::L013,
+                msg: format!(
+                    "`{name}` built outside `plan::lower` is a second plan \
+                     path; add the query shape to `plan::LogicalPlan` and \
+                     lower it there"
+                ),
             });
         }
     }

@@ -96,6 +96,22 @@ fn l008_spares_lease_views_and_test_code() {
 }
 
 #[test]
+fn l013_fires_on_operators_built_outside_the_lowering() {
+    let rules = rules_of("l013_fire.rs");
+    assert_eq!(
+        rules.len(),
+        3,
+        "SeqScan::new, Filter::new and relstore::wrap"
+    );
+    assert!(rules.iter().all(|r| *r == Rule::L013));
+}
+
+#[test]
+fn l013_spares_plan_calls_variants_methods_and_test_code() {
+    assert_clean("l013_clean.rs");
+}
+
+#[test]
 fn l004_spares_safety_commented_unsafe() {
     assert_clean("l004_clean.rs");
 }

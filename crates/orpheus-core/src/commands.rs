@@ -3,7 +3,7 @@
 //! import/export, and the `run` command for versioned SQL.
 //!
 //! `OrpheusDb` plays the role of the middleware in Fig. 3.1: the query
-//! translator ([`crate::query`]), record/version managers
+//! translator ([`crate::query`], [`crate::plan`]), record/version managers
 //! ([`crate::cvd`]), partition optimizer ([`crate::partitioned`] +
 //! [`partition`]), provenance manager (the staging registry here), and the
 //! access controller (staging-table ownership checks).
@@ -13,7 +13,8 @@ use crate::cvd::{CommitResult, Cvd};
 use crate::error::{Error, Result};
 use crate::models::{load_cvd, SplitByRlist, VersioningModel};
 use crate::partitioned::PartitionedStore;
-use crate::query::{parse_query, predicate_expr, QueryResult, VQuery, VersionedQuery};
+use crate::plan::{self, Source};
+use crate::query::{parse_query, QueryResult, VQuery};
 use partition::{lyresplit_for_budget, Vid};
 use relstore::{Column, DataType, Database, ExecContext, Row, Schema, Value};
 use std::cell::RefCell;
@@ -671,11 +672,16 @@ impl OrpheusDb {
     pub fn diff(&self, cvd_name: &str, a: Vid, b: Vid) -> Result<(QueryResult, QueryResult)> {
         let _span = self.db.recorder().enter("orpheus.diff");
         let handle = self.handle(cvd_name)?;
-        let q =
-            VersionedQuery::new(&self.db, &handle.cvd, &handle.model).with_pool(self.worker_pool());
+        let source = Source::tables(&self.db, &handle.cvd, &handle.model)?;
+        let pool = self.worker_pool();
+        let v_diff = |a, b| VQuery::Diff {
+            cvd: cvd_name.to_owned(),
+            a,
+            b,
+        };
         let mut ctx = ExecContext::new();
-        let left = q.v_diff(a, b, &mut ctx)?;
-        let right = q.v_diff(b, a, &mut ctx)?;
+        let left = plan::run(&v_diff(a, b), &source, pool.as_ref(), &mut ctx)?;
+        let right = plan::run(&v_diff(b, a), &source, pool.as_ref(), &mut ctx)?;
         self.tracker.borrow_mut().absorb(&ctx.tracker);
         Ok((left, right))
     }
@@ -769,64 +775,11 @@ impl OrpheusDb {
     pub fn run(&self, sql: &str) -> Result<QueryResult> {
         let _span = self.db.recorder().enter("orpheus.query");
         let start = Instant::now();
-        let parsed = parse_query(sql)?;
+        let query = parse_query(sql)?;
+        let handle = self.handle(query.cvd())?;
+        let source = Source::tables(&self.db, &handle.cvd, &handle.model)?;
         let mut ctx = ExecContext::new();
-        let result = match parsed {
-            VQuery::SelectVersions {
-                cvd,
-                versions,
-                predicate,
-                limit,
-            } => {
-                let handle = self.handle(&cvd)?;
-                let pred = predicate
-                    .as_ref()
-                    .map(|p| predicate_expr(&handle.cvd, p))
-                    .transpose()?;
-                let q = VersionedQuery::new(&self.db, &handle.cvd, &handle.model)
-                    .with_pool(self.worker_pool());
-                q.select_versions(&versions, pred, limit, &mut ctx)
-            }
-            VQuery::AggregateByVersion {
-                cvd,
-                agg,
-                agg_col,
-                predicate,
-            } => {
-                let handle = self.handle(&cvd)?;
-                let pred = predicate
-                    .as_ref()
-                    .map(|p| predicate_expr(&handle.cvd, p))
-                    .transpose()?;
-                let q = VersionedQuery::new(&self.db, &handle.cvd, &handle.model)
-                    .with_pool(self.worker_pool());
-                let col = if agg_col == "rid" { "rid" } else { &agg_col };
-                q.aggregate_by_version(agg, col, pred, &mut ctx)
-            }
-            VQuery::Diff { cvd, a, b } => {
-                let handle = self.handle(&cvd)?;
-                let q = VersionedQuery::new(&self.db, &handle.cvd, &handle.model)
-                    .with_pool(self.worker_pool());
-                q.v_diff(a, b, &mut ctx)
-            }
-            VQuery::Intersect { cvd, versions } => {
-                let handle = self.handle(&cvd)?;
-                let q = VersionedQuery::new(&self.db, &handle.cvd, &handle.model)
-                    .with_pool(self.worker_pool());
-                q.v_intersect(&versions, &mut ctx)
-            }
-            VQuery::JoinVersions {
-                cvd,
-                left,
-                right,
-                on,
-            } => {
-                let handle = self.handle(&cvd)?;
-                let q = VersionedQuery::new(&self.db, &handle.cvd, &handle.model)
-                    .with_pool(self.worker_pool());
-                q.join_versions(left, right, &on, &mut ctx)
-            }
-        };
+        let result = plan::run(&query, &source, self.worker_pool().as_ref(), &mut ctx);
         self.tracker.borrow_mut().absorb(&ctx.tracker);
         self.db
             .metrics()
@@ -834,23 +787,21 @@ impl OrpheusDb {
         result
     }
 
-    /// `explain analyze <query>`: run the query through an instrumented
-    /// plan and report estimated vs. actual figures per operator, plus the
-    /// buffer pool's `IoStats` delta across the whole execution. The root
-    /// operator's inclusive measured page reads reconcile with that delta.
+    /// `explain analyze <query>`: lower the query's logical plan with
+    /// instrumentation on and report estimated vs. actual figures per
+    /// operator, plus the buffer pool's `IoStats` delta across the whole
+    /// execution. The root operator's inclusive measured page reads
+    /// reconcile with that delta.
     pub fn explain_analyze(&self, sql: &str) -> Result<relstore::ExplainReport> {
         let _span = self.db.recorder().enter("orpheus.query");
         let start = Instant::now();
-        let parsed = parse_query(sql)?;
-        let handle = self.handle(crate::explain::cvd_of(&parsed))?;
-        let pool = self.worker_pool();
-        let (mut plan, node) = crate::explain::build_instrumented(
-            &self.db,
-            &handle.cvd,
-            &handle.model,
-            &parsed,
-            pool.as_ref(),
-        )?;
+        let query = parse_query(sql)?;
+        let handle = self.handle(query.cvd())?;
+        let source = Source::tables(&self.db, &handle.cvd, &handle.model)?;
+        let logical = plan::plan(&query, &source)?;
+        let (mut plan, node) = plan::lower(logical, &source, self.worker_pool().as_ref(), true)?;
+        let node =
+            node.ok_or_else(|| Error::Internal("instrumented plan has no explain node".into()))?;
         let pool_before = self.db.io_stats();
         let mut ctx = ExecContext::new();
         relstore::collect(plan.as_mut(), &mut ctx)?;

@@ -564,33 +564,16 @@ impl Cvd {
         self.check_version(b)?;
         let ra = &self.version_records[a.idx()];
         let rb = &self.version_records[b.idx()];
-        let only_a = ra
-            .iter()
-            .copied()
-            .filter(|r| rb.binary_search(r).is_err())
-            .collect();
-        let only_b = rb
-            .iter()
-            .copied()
-            .filter(|r| ra.binary_search(r).is_err())
-            .collect();
-        Ok((only_a, only_b))
+        Ok((
+            crate::plan::difference(ra, rb),
+            crate::plan::difference(rb, ra),
+        ))
     }
 
     /// `v_intersect`: records present in all given versions (§3.3.2(c)).
     pub fn v_intersect(&self, versions: &[Vid]) -> Result<Vec<Rid>> {
-        if versions.is_empty() {
-            return Ok(Vec::new());
-        }
-        for &v in versions {
-            self.check_version(v)?;
-        }
-        let mut acc: Vec<Rid> = self.version_records[versions[0].idx()].clone();
-        for &v in &versions[1..] {
-            let set = &self.version_records[v.idx()];
-            acc.retain(|r| set.binary_search(r).is_ok());
-        }
-        Ok(acc)
+        let lists = crate::plan::lists(&self.version_records, versions)?;
+        Ok(crate::plan::intersection(&lists))
     }
 
     /// The bipartite version–record graph of this CVD.

@@ -21,6 +21,9 @@
 //! * [`query`] — the versioned query layer: `SELECT … FROM VERSION i OF
 //!   CVD c`, aggregates `GROUP BY vid`, and the functional primitives
 //!   `ancestor`/`descendant`/`parent`, `v_diff`, `v_intersect` (§3.3.2);
+//! * [`plan`] — the one plan path of those queries: a logical plan per
+//!   parsed query, lowered to relational operators over the engine's
+//!   tables or a pinned [`snapshot`];
 //! * [`commands`] — the command-line surface: `init`, `checkout`, `commit`,
 //!   `diff`, `ls`, `drop`, `optimize`, plus user management and the
 //!   access-controlled staging area (§3.3.1).
@@ -29,9 +32,9 @@ mod catalog;
 pub mod commands;
 pub mod cvd;
 pub mod error;
-mod explain;
 pub mod models;
 pub mod partitioned;
+pub mod plan;
 pub mod query;
 pub mod snapshot;
 

@@ -8,37 +8,34 @@
 //! thread, entirely outside the engine thread: readers are lock-free and
 //! never block (or are blocked by) writers.
 //!
-//! The evaluator reuses the *same relational operators* the engine uses
-//! ([`relstore::Filter`], [`relstore::HashJoin`], [`relstore::Unnest`],
-//! [`relstore::HashAggregate`]) over in-memory [`relstore::Values`]
-//! nodes, feeding them rows in exactly the order the engine's physical
-//! data tables would produce (ascending rid = data-table insertion
-//! order). Output is therefore byte-identical to
-//! [`OrpheusDb::run`](crate::OrpheusDb::run) on the same version set —
+//! A snapshot is a scan source of the one query plan path
+//! ([`crate::plan`]): queries are planned exactly as
+//! [`OrpheusDb::run`](crate::OrpheusDb::run) plans them, and lowered
+//! with its rows as the data table — a `Fetch` is a positional fetch of
+//! the rid-indexed rows, in ascending rid (= data-table insertion)
+//! order, and the version table is `Values` of `(vid, rlist)`. Output is
+//! therefore byte-identical to the engine's on the same version set —
 //! pinned by the parity tests below.
 
 use crate::cvd::Cvd;
 use crate::error::{Error, Result};
-use crate::query::{parse_query, predicate_expr_for, shift_columns, QueryResult, VQuery};
-use partition::Vid;
-use relstore::{
-    collect, Column, DataType, ExecContext, Executor, Filter, HashAggregate, HashJoin, Limit, Row,
-    Schema, Unnest, Value, Values,
-};
-use std::collections::HashSet;
+use crate::plan::{self, Source};
+use crate::query::{parse_query, QueryResult, VQuery};
+use partition::{Rid, Vid};
+use relstore::{ExecContext, Row, Schema, Value};
 
 /// An immutable, `Send + Sync` view of one CVD at pin time.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     name: String,
     /// The CVD's attribute schema (without `rid`).
-    attrs: Schema,
+    pub(crate) attrs: Schema,
     /// The `[rid, attrs…]` star schema of the physical data table.
-    star: Schema,
+    pub(crate) star: Schema,
     /// Star rows indexed by rid — the data table's insertion order.
-    rows: Vec<Row>,
-    /// Per-version record ids, in stored (commit) order.
-    version_rids: Vec<Vec<u64>>,
+    pub(crate) rows: Vec<Row>,
+    /// Per-version record ids, sorted, indexed by vid.
+    pub(crate) version_rids: Vec<Vec<Rid>>,
 }
 
 impl Snapshot {
@@ -48,7 +45,7 @@ impl Snapshot {
         let width = star.len();
         let rows = (0..cvd.num_records())
             .map(|rid| {
-                let mut row = crate::models::data_row(cvd, partition::Rid(rid as u64));
+                let mut row = crate::models::data_row(cvd, Rid(rid as u64));
                 // Records committed before a schema evolution may be
                 // narrower than the union schema; pad like the engine's
                 // migrated tables do.
@@ -56,19 +53,12 @@ impl Snapshot {
                 row
             })
             .collect();
-        let version_rids = (0..cvd.num_versions())
-            .map(|v| {
-                cvd.version_records(Vid(v as u32))
-                    .map(|rids| rids.iter().map(|r| r.0).collect())
-                    .unwrap_or_default()
-            })
-            .collect();
         Snapshot {
             name: cvd.name().to_owned(),
             attrs: cvd.schema().clone(),
             star,
             rows,
-            version_rids,
+            version_rids: cvd.version_records_raw().to_vec(),
         }
     }
 
@@ -87,159 +77,28 @@ impl Snapshot {
         Vid(self.version_rids.len().saturating_sub(1) as u32)
     }
 
-    fn rids(&self, v: Vid) -> Result<&[u64]> {
-        self.version_rids
-            .get(v.idx())
-            .map(Vec::as_slice)
-            .ok_or(Error::VersionNotFound(v.0))
-    }
-
-    /// Star rows of the record set `set`, in data-table (ascending rid)
-    /// order — the order every engine retrieval pipeline emits.
-    fn fetch(&self, set: &HashSet<u64>) -> Vec<Row> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter(|(rid, _)| set.contains(&(*rid as u64)))
-            .map(|(_, row)| row.clone())
-            .collect()
-    }
-
-    fn union_rids(&self, versions: &[Vid]) -> Result<HashSet<u64>> {
-        let mut set = HashSet::new();
-        for &v in versions {
-            set.extend(self.rids(v)?.iter().copied());
-        }
-        Ok(set)
-    }
-
     /// Evaluate a versioned SQL string against this snapshot. Supports
     /// the full `run` surface; the CVD named in the query must be the
     /// pinned one.
     pub fn run(&self, sql: &str) -> Result<QueryResult> {
-        let parsed = parse_query(sql)?;
-        let mut ctx = ExecContext::new();
-        match parsed {
-            VQuery::SelectVersions {
-                cvd,
-                versions,
-                predicate,
-                limit,
-            } => {
-                self.check_name(&cvd)?;
-                let rows = self.fetch(&self.union_rids(&versions)?);
-                let mut plan: Box<dyn Executor> = Box::new(Values::new(self.star.clone(), rows));
-                if let Some(pred) = &predicate {
-                    plan = Box::new(Filter::new(plan, predicate_expr_for(&self.attrs, pred)?));
-                }
-                if let Some(n) = limit {
-                    plan = Box::new(Limit::new(plan, n));
-                }
-                let rows = collect(plan.as_mut(), &mut ctx)?;
-                Ok(QueryResult {
-                    schema: self.star.clone(),
-                    rows,
-                })
-            }
-            VQuery::AggregateByVersion {
-                cvd,
-                agg,
-                agg_col,
-                predicate,
-            } => {
-                self.check_name(&cvd)?;
-                // Mirror the engine plan: Unnest(vtab) ⋈ data, then
-                // aggregate grouped by vid over the [vid, rid, rid,
-                // attrs…] join schema.
-                let vtab_schema = Schema::new(vec![
-                    Column::new("vid", DataType::Int64),
-                    Column::new("rlist", DataType::IntArray),
-                ]);
-                let vtab_rows: Vec<Row> = self
-                    .version_rids
-                    .iter()
-                    .enumerate()
-                    .map(|(v, rids)| {
-                        vec![
-                            Value::Int64(v as i64),
-                            Value::IntArray(rids.iter().map(|&r| r as i64).collect()),
-                        ]
-                    })
-                    .collect();
-                let scan = Box::new(Values::new(vtab_schema, vtab_rows));
-                let unnest = Box::new(Unnest::new(scan, 1).map_err(Error::Storage)?);
-                let probe = Box::new(Values::new(self.star.clone(), self.rows.clone()));
-                let join = Box::new(HashJoin::new(unnest, probe, 1, 0));
-                let mut plan: Box<dyn Executor> = join;
-                if let Some(pred) = &predicate {
-                    let expr = predicate_expr_for(&self.attrs, pred)?;
-                    plan = Box::new(Filter::new(plan, shift_columns(&expr, 2)));
-                }
-                let agg_idx = 2 + self.star.index_of(&agg_col).map_err(Error::Storage)?;
-                let mut aggregate = HashAggregate::new(plan, vec![0], vec![(agg, agg_idx)]);
-                let schema = aggregate.schema().clone();
-                let rows = aggregate.collect(&mut ctx)?;
-                Ok(QueryResult { schema, rows })
-            }
-            VQuery::Diff { cvd, a, b } => {
-                self.check_name(&cvd)?;
-                let in_b: HashSet<u64> = self.rids(b)?.iter().copied().collect();
-                let only_a: HashSet<u64> = self
-                    .rids(a)?
-                    .iter()
-                    .copied()
-                    .filter(|r| !in_b.contains(r))
-                    .collect();
-                Ok(QueryResult {
-                    schema: self.star.clone(),
-                    rows: self.fetch(&only_a),
-                })
-            }
-            VQuery::Intersect { cvd, versions } => {
-                self.check_name(&cvd)?;
-                let mut iter = versions.iter();
-                let mut set: HashSet<u64> = match iter.next() {
-                    Some(&v) => self.rids(v)?.iter().copied().collect(),
-                    None => HashSet::new(),
-                };
-                for &v in iter {
-                    let other: HashSet<u64> = self.rids(v)?.iter().copied().collect();
-                    set.retain(|r| other.contains(r));
-                }
-                Ok(QueryResult {
-                    schema: self.star.clone(),
-                    rows: self.fetch(&set),
-                })
-            }
-            VQuery::JoinVersions {
-                cvd,
-                left,
-                right,
-                on,
-            } => {
-                self.check_name(&cvd)?;
-                let col = 1 + self.attrs.index_of(&on).map_err(Error::Storage)?;
-                let lhs: HashSet<u64> = self.rids(left)?.iter().copied().collect();
-                let rhs: HashSet<u64> = self.rids(right)?.iter().copied().collect();
-                let schema = self.star.join(&self.star);
-                let lhs = Box::new(Values::new(self.star.clone(), self.fetch(&lhs)));
-                let rhs = Box::new(Values::new(self.star.clone(), self.fetch(&rhs)));
-                let mut join = HashJoin::new(lhs, rhs, col, col);
-                let rows = join.collect(&mut ctx)?;
-                Ok(QueryResult { schema, rows })
-            }
-        }
+        self.run_query(&parse_query(sql)?)
     }
 
-    fn check_name(&self, cvd: &str) -> Result<()> {
-        if cvd == self.name {
-            Ok(())
-        } else {
-            Err(Error::CvdNotFound(format!(
-                "{cvd} (this session pins {})",
+    /// Evaluate an already parsed versioned query against this snapshot.
+    pub fn run_query(&self, query: &VQuery) -> Result<QueryResult> {
+        if query.cvd() != self.name {
+            return Err(Error::CvdNotFound(format!(
+                "{} (this session pins {})",
+                query.cvd(),
                 self.name
-            )))
+            )));
         }
+        plan::run(
+            query,
+            &Source::Snapshot(self),
+            None,
+            &mut ExecContext::new(),
+        )
     }
 }
 
@@ -247,6 +106,7 @@ impl Snapshot {
 mod tests {
     use super::*;
     use crate::commands::OrpheusDb;
+    use relstore::{Column, DataType};
 
     fn assert_send_sync<T: Send + Sync>() {}
 

@@ -22,7 +22,7 @@
 
 use crate::engine::{EngineError, EngineHandle};
 use crate::protocol::{self, code, ClientMsg, ProtoError, ServerMsg};
-use orpheus_core::query::QueryResult;
+use orpheus_core::query::{parse_query, QueryResult, VQuery};
 use orpheus_core::{CommandOutput, Snapshot};
 use relstore::Value;
 use std::collections::HashMap;
@@ -297,14 +297,14 @@ fn dispatch(
         }
         "run" => {
             let sql = trimmed.strip_prefix("run").unwrap_or("").trim();
-            if let Some(snap) = snapshot_for(sql, pinned) {
+            if let Some((snap, query)) = snapshot_for(sql, pinned) {
                 // Lock-free read on this session thread; journal it under
                 // the request trace so snapshot reads show up in dumps.
                 let _span = engine.recorder().enter_with(
                     "orpheus.server.snapshot_read",
                     obs::TraceCtx::from_wire(trace),
                 );
-                let table = snap.run(sql).map_err(|e| EngineError {
+                let table = snap.run_query(&query).map_err(|e| EngineError {
                     code: code::INTERNAL,
                     message: e.to_string(),
                 })?;
@@ -323,19 +323,15 @@ fn dispatch(
     }
 }
 
-/// The pinned snapshot that can answer `sql` locally, if any. A parse
-/// failure falls through to the engine so the error message is the
-/// canonical one.
-fn snapshot_for<'a>(sql: &str, pinned: &'a HashMap<String, Snapshot>) -> Option<&'a Snapshot> {
-    use orpheus_core::query::VQuery;
-    let cvd = match orpheus_core::query::parse_query(sql).ok()? {
-        VQuery::SelectVersions { cvd, .. }
-        | VQuery::AggregateByVersion { cvd, .. }
-        | VQuery::Diff { cvd, .. }
-        | VQuery::JoinVersions { cvd, .. }
-        | VQuery::Intersect { cvd, .. } => cvd,
-    };
-    pinned.get(&cvd)
+/// The pinned snapshot that can answer `sql` locally, if any, with the
+/// parsed query. A parse failure falls through to the engine so the error
+/// message is the canonical one.
+fn snapshot_for<'a>(
+    sql: &str,
+    pinned: &'a HashMap<String, Snapshot>,
+) -> Option<(&'a Snapshot, VQuery)> {
+    let query = parse_query(sql).ok()?;
+    Some((pinned.get(query.cvd())?, query))
 }
 
 #[cfg(test)]

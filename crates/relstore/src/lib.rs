@@ -75,7 +75,7 @@ pub use explain::{
 };
 pub use expr::{AggFunc, BinOp, Expr};
 pub use index::{Index, IndexKind};
-pub use par::{morsel_pages, ParHashJoin, ParSeqScan, MORSEL_PAGES};
+pub use par::{morsel_pages, ParHashJoin, MORSEL_PAGES};
 pub use plan::{choose_join, run_rid_join, JoinChoice};
 pub use schema::{Column, Schema};
 pub use table::{Clustering, Row, RowId, Table, DEFAULT_POOL_PAGES};

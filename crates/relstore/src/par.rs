@@ -140,138 +140,6 @@ fn merge_morsel(
     ctx.tracker.absorb(&tracker);
 }
 
-/// Parallel sequential scan with an optional fused filter and projection.
-///
-/// Produces exactly the rows (in exactly the order) of the sequential
-/// `Project(Filter(SeqScan))` pipeline it replaces, and charges the same
-/// estimated cost: one `seq_scan` for the heap, one predicate evaluation
-/// per scanned row, one expression evaluation per projected column of
-/// every surviving row.
-pub struct ParSeqScan<'a> {
-    table: &'a Table,
-    pool: WorkerPool,
-    predicate: Option<Expr>,
-    projection: Option<Vec<Expr>>,
-    schema: Schema,
-    out: VecDeque<Row>,
-    started: bool,
-    worker_rows: Rc<RefCell<Vec<u64>>>,
-}
-
-impl<'a> ParSeqScan<'a> {
-    pub fn new(table: &'a Table, pool: WorkerPool) -> Self {
-        let workers = pool.threads();
-        ParSeqScan {
-            table,
-            pool,
-            predicate: None,
-            projection: None,
-            schema: table.schema().clone(),
-            out: VecDeque::new(),
-            started: false,
-            worker_rows: Rc::new(RefCell::new(vec![0; workers])),
-        }
-    }
-
-    /// Fuse a filter into the scan (applied on the workers).
-    pub fn with_filter(mut self, predicate: Expr) -> Self {
-        self.predicate = Some(predicate);
-        self
-    }
-
-    /// Fuse a column projection into the scan (applied after the filter).
-    pub fn with_projection(mut self, indices: &[usize]) -> Self {
-        self.schema = self.table.schema().project(indices);
-        self.projection = Some(indices.iter().map(|&i| Expr::col(i)).collect());
-        self
-    }
-
-    /// Degree of parallelism this scan runs at.
-    pub fn parallelism(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// Shared per-worker emitted-row counts, for
-    /// [`ExplainNode::set_worker_rows`](crate::explain::ExplainNode::set_worker_rows).
-    pub fn worker_rows(&self) -> Rc<RefCell<Vec<u64>>> {
-        Rc::clone(&self.worker_rows)
-    }
-
-    /// Cheap copy-on-read view of the per-worker row counts: borrows the
-    /// shared cell instead of cloning the vector on every report call.
-    pub fn worker_rows_view(&self) -> Ref<'_, [u64]> {
-        Ref::map(self.worker_rows.borrow(), Vec::as_slice)
-    }
-
-    fn run(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        ctx.tracker
-            .seq_scan(self.table.heap_size() as u64, &ctx.model);
-        let predicate = self.predicate.as_ref();
-        let projection = self.projection.as_deref();
-        let decoder = self.table.decoder();
-        let mut waves = LeaseWaves::new(self.table);
-        while let Some(wave) = waves.next_wave(&mut ctx.tracker)? {
-            let tasks: Vec<_> = wave
-                .into_iter()
-                .map(|morsel| {
-                    let decoder = decoder.clone();
-                    move |worker: usize| -> Result<(usize, Vec<Row>, CostTracker)> {
-                        let mut tracker = CostTracker::new();
-                        let mut rows = Vec::new();
-                        for view in &morsel {
-                            for bytes in view.tuples().map_err(Error::from)? {
-                                let (_, row) = decoder.decode_row(bytes)?;
-                                tracker.measured.tuples_decoded += 1;
-                                if let Some(p) = predicate {
-                                    if !p.matches(&row, &mut tracker)? {
-                                        continue;
-                                    }
-                                }
-                                let row = match projection {
-                                    Some(exprs) => exprs
-                                        .iter()
-                                        .map(|e| e.eval(&row, &mut tracker))
-                                        .collect::<Result<Vec<_>>>()?,
-                                    None => row,
-                                };
-                                rows.push(row);
-                            }
-                        }
-                        Ok((worker, rows, tracker))
-                    }
-                })
-                .collect();
-            let results = self.pool.run(tasks)?;
-            let mut worker_rows = self.worker_rows.borrow_mut();
-            let mut wave_decoded = 0;
-            for result in results {
-                let (worker, rows, tracker) = result?;
-                wave_decoded += tracker.measured.tuples_decoded;
-                merge_morsel(&mut self.out, &mut worker_rows, ctx, worker, rows, tracker);
-            }
-            // Mirror the workers' decode tally into the pool counter
-            // outside any since-window (the morsel_allocs pattern), so
-            // pagestore.page.decoded_tuples stays thread-count-invariant.
-            self.table.pool().note_tuples_decoded(wave_decoded);
-        }
-        Ok(())
-    }
-}
-
-impl Executor for ParSeqScan<'_> {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
-        if !self.started {
-            self.started = true;
-            self.run(ctx)?;
-        }
-        Ok(self.out.pop_front())
-    }
-}
-
 /// Parallel hash join of a build-side executor against a probed table.
 ///
 /// The coordinator drains the build child, the workers build per-chunk
@@ -501,7 +369,7 @@ impl Executor for ParHashJoin<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{collect, Filter, HashJoin, Project, SeqScan, Values};
+    use crate::exec::{collect, HashJoin, Project, SeqScan, Values};
     use crate::schema::Column;
     use crate::value::{DataType, Value};
 
@@ -525,36 +393,44 @@ mod tests {
         t
     }
 
-    fn seq_scan_filter_project(t: &Table) -> (Vec<Row>, CostTracker) {
+    /// The build side of the rid joins below: the rids whose `x < 50`.
+    fn rids(t: &Table) -> Values {
+        let n = t.live_row_count() as i64;
+        Values::ints("rid", (0..n).filter(|i| i * 7 % 100 < 50))
+    }
+
+    /// The sequential pipeline a `ParHashJoin` with a fused projection
+    /// replaces: `Project(HashJoin(Values rids, SeqScan))`.
+    fn seq_rid_join(t: &Table) -> (Vec<Row>, CostTracker) {
         let mut ctx = ExecContext::new();
-        let scan = Box::new(SeqScan::new(t));
-        let filter = Box::new(Filter::new(
-            scan,
-            Expr::col(1).lt(Expr::lit(Value::Int64(50))),
+        let join = Box::new(HashJoin::new(
+            Box::new(rids(t)),
+            Box::new(SeqScan::new(t)),
+            0,
+            0,
         ));
-        let mut project = Project::columns(filter, &[0, 2]);
+        let mut project = Project::columns(join, &[1, 3]);
         let rows = collect(&mut project, &mut ctx).unwrap();
         (rows, ctx.tracker)
     }
 
-    fn par_scan_filter_project(t: &Table, threads: usize) -> (Vec<Row>, CostTracker, Vec<u64>) {
+    fn par_rid_join(t: &Table, threads: usize) -> (Vec<Row>, CostTracker, Vec<u64>) {
         let mut ctx = ExecContext::new();
-        let mut scan = ParSeqScan::new(t, WorkerPool::new(threads))
-            .with_filter(Expr::col(1).lt(Expr::lit(Value::Int64(50))))
-            .with_projection(&[0, 2]);
-        let rows = collect(&mut scan, &mut ctx).unwrap();
+        let mut join = ParHashJoin::new(Box::new(rids(t)), t, 0, 0, WorkerPool::new(threads))
+            .with_projection(&[1, 3]);
+        let rows = collect(&mut join, &mut ctx).unwrap();
         // Take the borrow's slice once through the view — no clone of the
         // shared cell on the report path.
-        let worker_rows = scan.worker_rows_view().to_vec();
+        let worker_rows = join.worker_rows_view().to_vec();
         (rows, ctx.tracker, worker_rows)
     }
 
     #[test]
-    fn par_scan_matches_sequential_pipeline_at_every_thread_count() {
+    fn par_rid_join_matches_sequential_pipeline_at_every_thread_count() {
         let t = data_table(3_000);
-        let (seq_rows, seq_tracker) = seq_scan_filter_project(&t);
+        let (seq_rows, seq_tracker) = seq_rid_join(&t);
         for threads in [1, 2, 4, 8] {
-            let (par_rows, par_tracker, _) = par_scan_filter_project(&t, threads);
+            let (par_rows, par_tracker, _) = par_rid_join(&t, threads);
             assert_eq!(par_rows, seq_rows, "threads={threads}");
             // Identical estimated charges: same pages, tuples, and
             // operator evaluations, merged back from the workers.
@@ -571,10 +447,10 @@ mod tests {
     }
 
     #[test]
-    fn par_scan_worker_rows_reconcile_with_sequential_count() {
+    fn par_rid_join_worker_rows_reconcile_with_sequential_count() {
         let t = data_table(3_000);
-        let (seq_rows, _) = seq_scan_filter_project(&t);
-        let (_, _, worker_rows) = par_scan_filter_project(&t, 4);
+        let (seq_rows, _) = seq_rid_join(&t);
+        let (_, _, worker_rows) = par_rid_join(&t, 4);
         assert_eq!(worker_rows.len(), 4);
         assert_eq!(
             worker_rows.iter().sum::<u64>(),
@@ -584,28 +460,29 @@ mod tests {
     }
 
     #[test]
-    fn par_scan_is_zero_copy_after_checkpoint() {
+    fn par_join_is_zero_copy_after_checkpoint() {
         let t = data_table(3_000);
         t.pool().flush_all().unwrap();
         let before = t.io_stats();
-        let (rows, _, _) = par_scan_filter_project(&t, 4);
+        let (rows, _, _) = par_rid_join(&t, 4);
         assert!(!rows.is_empty());
         let delta = t.io_stats().since(&before);
         assert_eq!(
             delta.bytes_copied_to_workers, 0,
             "clean inline pages must ship to workers as leases, not copies"
         );
-        assert_eq!(delta.morsel_allocs, 0);
+        // The only allocations are the one scratch row per worker.
+        assert_eq!(delta.morsel_allocs, 4);
     }
 
     #[test]
-    fn par_scan_on_dirty_pages_falls_back_to_counted_copies() {
+    fn par_join_on_dirty_pages_falls_back_to_counted_copies() {
         // No flush: every heap page is dirty, so each one must be copied
         // (and counted) rather than leased — output stays identical.
         let t = data_table(500);
         let before = t.io_stats();
-        let (rows, _, _) = par_scan_filter_project(&t, 4);
-        let (seq_rows, _) = seq_scan_filter_project(&t);
+        let (rows, _, _) = par_rid_join(&t, 4);
+        let (seq_rows, _) = seq_rid_join(&t);
         assert_eq!(rows, seq_rows);
         let delta = t.io_stats().since(&before);
         assert!(delta.bytes_copied_to_workers > 0);
@@ -613,9 +490,10 @@ mod tests {
     }
 
     #[test]
-    fn par_scan_pool_smaller_than_heap_stays_zero_copy_via_waves() {
+    fn par_join_pool_smaller_than_heap_stays_zero_copy_via_waves() {
         // 4-frame pool, many-page heap: leases refuse eviction, so the
-        // scan must proceed in capacity-bounded waves instead of wedging.
+        // probe scan must proceed in capacity-bounded waves instead of
+        // wedging.
         let pool = Rc::new(pagestore::BufferPool::in_memory(4));
         let mut t = Table::with_pool(
             "w",
@@ -632,37 +510,37 @@ mod tests {
         assert!(t.num_heap_pages() > t.pool().capacity());
         t.pool().flush_all().unwrap();
         let before = t.io_stats();
+        let build = || Box::new(Values::ints("rid", 0..400));
         let mut ctx = ExecContext::new();
-        let mut scan = ParSeqScan::new(&t, WorkerPool::new(4));
-        let rows = collect(&mut scan, &mut ctx).unwrap();
+        let mut join = ParHashJoin::new(build(), &t, 0, 0, WorkerPool::new(4));
+        let rows = collect(&mut join, &mut ctx).unwrap();
         assert_eq!(rows.len(), 400);
         let mut seq_ctx = ExecContext::new();
-        let seq = collect(&mut SeqScan::new(&t), &mut seq_ctx).unwrap();
+        let seq = collect(
+            &mut HashJoin::new(build(), Box::new(SeqScan::new(&t)), 0, 0),
+            &mut seq_ctx,
+        )
+        .unwrap();
         assert_eq!(rows, seq);
         let delta = t.io_stats().since(&before);
         assert_eq!(delta.bytes_copied_to_workers, 0);
     }
 
     #[test]
-    fn par_scan_handles_zero_row_table() {
+    fn par_join_handles_zero_row_table() {
         let t = data_table(0);
-        let mut ctx = ExecContext::new();
-        let mut scan = ParSeqScan::new(&t, WorkerPool::new(4));
-        let rows = collect(&mut scan, &mut ctx).unwrap();
+        let (rows, _, _) = par_rid_join(&t, 4);
         assert!(rows.is_empty());
     }
 
     #[test]
-    fn par_scan_single_morsel_and_more_workers_than_morsels() {
+    fn par_join_single_morsel_and_more_workers_than_morsels() {
         // 60 rows fit on a handful of pages — far fewer morsels than the
         // eight workers; idle workers must not deadlock or drop rows.
         let t = data_table(60);
-        let mut ctx = ExecContext::new();
-        let mut scan = ParSeqScan::new(&t, WorkerPool::new(8));
-        let rows = collect(&mut scan, &mut ctx).unwrap();
-        assert_eq!(rows.len(), 60);
-        let mut seq_ctx = ExecContext::new();
-        let seq = collect(&mut SeqScan::new(&t), &mut seq_ctx).unwrap();
+        let (rows, _, _) = par_rid_join(&t, 8);
+        let (seq, _) = seq_rid_join(&t);
+        assert_eq!(rows.len(), (0..60).filter(|i| i * 7 % 100 < 50).count());
         assert_eq!(rows, seq);
     }
 
@@ -736,9 +614,9 @@ mod tests {
     }
 
     #[test]
-    fn par_scan_decode_error_in_worker_surfaces_as_err() {
+    fn par_worker_panic_surfaces_as_err() {
         // A panic inside a worker task must surface as Err, not deadlock.
-        // Simulate via the pool directly: ParSeqScan's workers only run
+        // Simulate via the pool directly: ParHashJoin's workers only run
         // fallible code, so drive a task that panics through the same pool.
         let pool = WorkerPool::new(2);
         let tasks: Vec<Box<dyn FnOnce(usize) -> u32 + Send>> = vec![

@@ -1,13 +1,13 @@
 //! Property-based tests for the morsel-driven parallel operators: for
 //! arbitrary tables — including tables bigger than their buffer pool, so
 //! the zero-copy lease waves are forced to run under eviction pressure —
-//! the parallel scan and hash join stay byte-identical to the sequential
-//! pipeline at every thread count.
+//! the parallel hash join, with and without its fused projection, stays
+//! byte-identical to the sequential pipeline at every thread count.
 
 use proptest::prelude::*;
 use relstore::{
-    collect, BufferPool, Column, DataType, ExecContext, Expr, HashJoin, ParHashJoin, ParSeqScan,
-    Schema, SeqScan, Table, Value, Values, WorkerPool,
+    collect, BufferPool, Column, DataType, ExecContext, HashJoin, ParHashJoin, Project, Schema,
+    SeqScan, Table, Value, Values, WorkerPool,
 };
 use std::rc::Rc;
 
@@ -44,25 +44,32 @@ fn tiny_pool_table(rows: &[(i64, u8)], pool_frames: usize, flush: bool) -> Table
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Parallel scan output is byte-identical to the sequential
-    /// `Filter(SeqScan)` pipeline at 1/2/4/8 threads, for clean and dirty
-    /// pages alike, under a pool of as few as 4 frames.
+    /// The fused rid join (`ParHashJoin` with a projection) is
+    /// byte-identical to the sequential `Project(HashJoin(Values rids,
+    /// SeqScan))` pipeline at 1/2/4/8 threads, for clean and dirty pages
+    /// alike, under a pool of as few as 4 frames — and pulls each heap
+    /// page through the pool exactly as often.
     #[test]
-    fn par_scan_matches_serial_at_all_thread_counts(
+    fn par_rid_join_matches_serial_at_all_thread_counts(
         rows in prop::collection::vec((0..50i64, 0..200u8), 1..120),
         pool_frames in 4usize..12,
         flush in any::<bool>(),
     ) {
         let t = tiny_pool_table(&rows, pool_frames, flush);
-        let predicate = || Expr::col(1).lt(Expr::lit(Value::Int64(25)));
+        // The rids whose `k < 25`.
+        let build = || {
+            let rids = rows.iter().enumerate().filter(|(_, &(k, _))| k < 25);
+            Box::new(Values::ints("rid", rids.map(|(i, _)| i as i64)))
+        };
         let mut seq_ctx = ExecContext::new();
-        let mut seq = relstore::Filter::new(Box::new(SeqScan::new(&t)), predicate());
+        let join = HashJoin::new(build(), Box::new(SeqScan::new(&t)), 0, 0);
+        let mut seq = Project::columns(Box::new(join), &[1, 2, 3]);
         let seq_rows = collect(&mut seq, &mut seq_ctx).unwrap();
         for threads in [1usize, 2, 4, 8] {
             let mut ctx = ExecContext::new();
-            let mut scan = ParSeqScan::new(&t, WorkerPool::new(threads))
-                .with_filter(predicate());
-            let par_rows = collect(&mut scan, &mut ctx).unwrap();
+            let mut join = ParHashJoin::new(build(), &t, 0, 0, WorkerPool::new(threads))
+                .with_projection(&[1, 2, 3]);
+            let par_rows = collect(&mut join, &mut ctx).unwrap();
             prop_assert_eq!(&par_rows, &seq_rows, "threads={}", threads);
             prop_assert_eq!(
                 ctx.tracker.measured.logical_reads,

@@ -13,13 +13,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> orpheus-lint (L001-L012 invariant catalog)"
+echo "==> orpheus-lint (L001-L013 invariant catalog)"
 # Project static analysis: no panicking paths in the storage engine, span
 # guards actually held, deterministic cost estimation, SAFETY-commented
 # unsafe, no #[ignore]d tests, every suppression justified, no raw
 # thread spawns outside the exec-pool crate — plus the call-graph rules:
 # no lock-order cycles, no guard held across blocking I/O, no silently
-# discarded Results, every command entry point traced. See
+# discarded Results, every command entry point traced — and relstore
+# operators built only by the versioned-query plan's lowering. See
 # crates/lint/README.md for the rule catalog.
 cargo run --release -q -p lint
 
