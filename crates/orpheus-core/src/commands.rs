@@ -7,6 +7,10 @@
 //! ([`crate::cvd`]), partition optimizer ([`crate::partitioned`] +
 //! [`partition`]), provenance manager (the staging registry here), and the
 //! access controller (staging-table ownership checks).
+//!
+//! Uncommitted work lives only in the staging registry, and each verb has
+//! one body: both checkout forms go through `stage`, both commit forms
+//! through `commit_rows`.
 
 use crate::catalog;
 use crate::cvd::{CommitResult, Cvd};
@@ -19,6 +23,7 @@ use partition::{lyresplit_for_budget, Vid};
 use relstore::{Column, DataType, Database, ExecContext, Row, Schema, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::time::Instant;
 
 /// A CVD registered in the system, with its physical representation.
@@ -39,6 +44,14 @@ pub struct StagingInfo {
     pub created_at: u64,
 }
 
+/// A staging-registry entry: a checkout's provenance and its staging
+/// table (`None` for a CSV checkout). The table's pages are in the shared
+/// pool, but it is not in the `Database` catalog: it goes with its entry.
+struct Staged {
+    info: StagingInfo,
+    table: Option<relstore::Table>,
+}
+
 /// Output of [`OrpheusDb::execute`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum CommandOutput {
@@ -55,7 +68,8 @@ pub struct OrpheusDb {
     cvds: HashMap<String, CvdHandle>,
     users: Vec<String>,
     current_user: Option<String>,
-    staging: HashMap<String, StagingInfo>,
+    /// The staging registry: every uncommitted checkout, by name.
+    staging: HashMap<String, Staged>,
     clock: u64,
     /// Cumulative cost accounting across every command this instance ran.
     /// Commands absorb their per-query trackers here instead of dropping
@@ -414,7 +428,8 @@ impl OrpheusDb {
         names
     }
 
-    /// `drop`: remove a CVD and its physical tables.
+    /// `drop`: remove a CVD, its physical tables, and every staging entry
+    /// checked out from it (staging tables go with their entries).
     pub fn drop_cvd(&mut self, name: &str) -> Result<()> {
         let handle = self
             .cvds
@@ -433,7 +448,7 @@ impl OrpheusDb {
         if let Some(p) = handle.partitioned {
             p.drop_tables(&mut self.db);
         }
-        self.staging.retain(|_, info| info.cvd != name);
+        self.staging.retain(|_, s| s.info.cvd != name);
         Ok(())
     }
 
@@ -447,9 +462,9 @@ impl OrpheusDb {
         Ok(&self.handle(name)?.cvd)
     }
 
-    /// Staging provenance info of a checked-out table.
-    pub fn staging_info(&self, table: &str) -> Option<&StagingInfo> {
-        self.staging.get(table)
+    /// Staging provenance info of a checkout (table or CSV file).
+    pub fn staging_info(&self, name: &str) -> Option<&StagingInfo> {
+        self.staging.get(name).map(|s| &s.info)
     }
 
     // -- checkout / commit ---------------------------------------------------
@@ -457,64 +472,99 @@ impl OrpheusDb {
     /// `checkout [cvd] -v [vids] -t [table]`: materialize one or more
     /// versions into a private staging table.
     pub fn checkout(&mut self, cvd_name: &str, versions: &[Vid], table: &str) -> Result<()> {
+        self.stage(cvd_name, versions, table, true).map(drop)
+    }
+
+    /// `checkout … -f file.csv`: materialize into CSV text instead of a
+    /// table (for analysis in Python/R, §3.3.1).
+    pub fn checkout_csv(&mut self, cvd_name: &str, versions: &[Vid], file: &str) -> Result<String> {
+        self.stage(cvd_name, versions, file, false)
+    }
+
+    /// The one checkout path: assemble the rows of `versions` from the
+    /// CVD and register them under `name` in the staging registry, as a
+    /// staging table (`as_table`) or as CSV text, which is returned (an
+    /// empty string for the table form). A name the registry already
+    /// holds is refused, whichever form holds it.
+    fn stage(
+        &mut self,
+        cvd_name: &str,
+        versions: &[Vid],
+        name: &str,
+        as_table: bool,
+    ) -> Result<String> {
         let _span = self.db.recorder().enter("orpheus.checkout");
         let start = Instant::now();
         let owner = self.whoami()?.to_owned();
+        if self.staging.contains_key(name) {
+            return Err(relstore::Error::TableExists(name.to_owned()).into());
+        }
         let created_at = self.tick();
         let handle = self.handle(cvd_name)?;
         let rows = handle.cvd.checkout_rows(versions)?;
-        let schema = handle.cvd.schema().clone();
-        if self.db.has_table(table) {
-            return Err(Error::Storage(relstore::Error::TableExists(
-                table.to_owned(),
-            )));
-        }
-        let t = self.db.create_table(table, schema)?;
-        for (_, row) in rows {
-            t.insert(row)?;
-        }
-        self.staging.insert(
-            table.to_owned(),
-            StagingInfo {
-                cvd: cvd_name.to_owned(),
-                parents: versions.to_vec(),
-                owner,
-                created_at,
-            },
-        );
+        let schema = handle.cvd.schema();
+        let (table, csv) = {
+            let _stage = self.db.recorder().enter("orpheus.checkout.stage");
+            if as_table {
+                let mut t = relstore::Table::with_format(
+                    name,
+                    schema.clone(),
+                    Rc::clone(self.db.pool()),
+                    self.db.default_format(),
+                );
+                for (_, row) in rows {
+                    t.insert(row)?;
+                }
+                (Some(t), String::new())
+            } else {
+                (None, to_csv(schema, rows.iter().map(|(_, r)| r.as_slice())))
+            }
+        };
+        let info = StagingInfo {
+            cvd: cvd_name.to_owned(),
+            parents: versions.to_vec(),
+            owner,
+            created_at,
+        };
+        self.staging.insert(name.to_owned(), Staged { info, table });
         self.db
             .metrics()
             .observe_duration("orpheus.checkout.latency_us", start.elapsed());
-        Ok(())
+        Ok(csv)
     }
 
-    /// Access-control check on a staging table (§3.3.1: only the user who
-    /// checked a table out may read or commit it).
-    fn authorize(&self, table: &str) -> Result<&StagingInfo> {
-        let info = self
+    /// Access-control check on a staging entry (§3.3.1: only the user who
+    /// checked it out may read or commit it).
+    fn authorize(&self, name: &str) -> Result<&Staged> {
+        let staged = self
             .staging
-            .get(table)
-            .ok_or_else(|| Error::NotCheckedOut(table.to_owned()))?;
+            .get(name)
+            .ok_or_else(|| Error::NotCheckedOut(name.to_owned()))?;
         let user = self.whoami()?;
-        if info.owner != user {
+        if staged.info.owner != user {
             return Err(Error::PermissionDenied {
                 user: user.to_owned(),
-                table: table.to_owned(),
+                table: name.to_owned(),
             });
         }
-        Ok(info)
+        Ok(staged)
     }
 
     /// Mutable access to a staging table for the current user (to run
     /// modifications before committing).
     pub fn staging_table_mut(&mut self, table: &str) -> Result<&mut relstore::Table> {
         self.authorize(table)?;
-        self.db.table_mut(table).map_err(Error::Storage)
+        self.staging
+            .get_mut(table)
+            .and_then(|s| s.table.as_mut())
+            .ok_or_else(|| not_a_table(table))
     }
 
     pub fn staging_table(&self, table: &str) -> Result<&relstore::Table> {
-        self.authorize(table)?;
-        self.db.table(table).map_err(Error::Storage)
+        self.authorize(table)?
+            .table
+            .as_ref()
+            .ok_or_else(|| not_a_table(table))
     }
 
     /// `commit -t [table] -m [message]`: add the (possibly modified)
@@ -523,103 +573,14 @@ impl OrpheusDb {
     pub fn commit(&mut self, table: &str, message: &str) -> Result<CommitResult> {
         let _span = self.db.recorder().enter("orpheus.commit");
         let start = Instant::now();
-        let info = self.authorize(table)?.clone();
-        let author = self.whoami()?.to_owned();
-        let staged = self.db.table(table)?;
+        let staged = self.staging_table(table)?;
         let schema = staged.schema().clone();
         let rows: Vec<Row> = staged.iter().map(|(_, r)| r.clone()).collect();
-        let handle = self
-            .cvds
-            .get_mut(&info.cvd)
-            .ok_or_else(|| Error::CvdNotFound(info.cvd.clone()))?;
-        let result = if &schema == handle.cvd.schema() {
-            handle.cvd.commit(&info.parents, rows, message, &author)?
-        } else {
-            handle
-                .cvd
-                .commit_with_schema(&info.parents, &schema, rows, message, &author)?
-        };
-        // Physical apply: new rids are those the commit introduced.
-        let new_rids: Vec<partition::Rid> = {
-            let total = handle.cvd.num_records();
-            ((total - result.new_records)..total)
-                .map(|i| partition::Rid(i as u64))
-                .collect()
-        };
-        handle.model.apply_commit(
-            &mut self.db,
-            &handle.cvd,
-            result.vid,
-            &new_rids,
-            &mut self.tracker.borrow_mut(),
-        )?;
-        if let Some(p) = handle.partitioned.as_mut() {
-            // Online maintenance: attach to the best parent's partition.
-            let best_parent = info
-                .parents
-                .iter()
-                .max_by_key(|&&pv| handle.cvd.graph().weight(pv, result.vid))
-                .copied();
-            let mut tracker = self.tracker.borrow_mut();
-            match best_parent {
-                Some(parent) => {
-                    let pid = p.partitioning().partition_of(parent);
-                    p.append_version(
-                        &mut self.db,
-                        &handle.cvd,
-                        result.vid,
-                        pid,
-                        false,
-                        &mut tracker,
-                    )?;
-                }
-                None => {
-                    let pid = p.partitioning().num_partitions();
-                    p.append_version(
-                        &mut self.db,
-                        &handle.cvd,
-                        result.vid,
-                        pid,
-                        true,
-                        &mut tracker,
-                    )?;
-                }
-            }
-        }
-        // Cleanup: remove the staging table (§3.3.1).
-        self.db.drop_table(table)?;
-        self.staging.remove(table);
-        // Durability point: once the version graph and data tables hold
-        // the new version, checkpoint so a crash cannot lose it. On an
-        // in-memory instance this is a no-op; under group commit the
-        // server issues one checkpoint per batch instead.
-        if self.auto_checkpoint {
-            self.checkpoint()?;
-        }
+        let result = self.commit_rows(table, &schema, rows, message)?;
         self.db
             .metrics()
             .observe_duration("orpheus.commit.latency_us", start.elapsed());
         Ok(result)
-    }
-
-    /// `checkout … -f file.csv`: materialize into CSV text instead of a
-    /// table (for analysis in Python/R, §3.3.1).
-    pub fn checkout_csv(&mut self, cvd_name: &str, versions: &[Vid], file: &str) -> Result<String> {
-        let owner = self.whoami()?.to_owned();
-        let created_at = self.tick();
-        let handle = self.handle(cvd_name)?;
-        let rows = handle.cvd.checkout_rows(versions)?;
-        let csv = to_csv(handle.cvd.schema(), rows.iter().map(|(_, r)| r.as_slice()));
-        self.staging.insert(
-            file.to_owned(),
-            StagingInfo {
-                cvd: cvd_name.to_owned(),
-                parents: versions.to_vec(),
-                owner,
-                created_at,
-            },
-        );
-        Ok(csv)
     }
 
     /// `commit -f file.csv -s schema`: commit CSV contents with an explicit
@@ -633,38 +594,90 @@ impl OrpheusDb {
     ) -> Result<CommitResult> {
         let _span = self.db.recorder().enter("orpheus.commit");
         let start = Instant::now();
-        let info = self.authorize(file)?.clone();
-        let author = self.whoami()?.to_owned();
+        self.authorize(file)?;
         let schema = parse_schema_spec(schema_spec)?;
         let rows = from_csv(&schema, csv)?;
+        let result = self.commit_rows(file, &schema, rows, message)?;
+        self.db
+            .metrics()
+            .observe_duration("orpheus.commit.latency_us", start.elapsed());
+        Ok(result)
+    }
+
+    /// The one commit path behind [`commit`](Self::commit) and
+    /// [`commit_csv`](Self::commit_csv), for an authorized staging entry
+    /// `name`: record `rows` as a new version of the CVD it was checked
+    /// out from, apply that version to the physical model and (after
+    /// `optimize`) the partitioned store, retire the staging entry, and
+    /// end with the durability point.
+    fn commit_rows(
+        &mut self,
+        name: &str,
+        schema: &Schema,
+        rows: Vec<Row>,
+        message: &str,
+    ) -> Result<CommitResult> {
+        let author = self.whoami()?.to_owned();
+        let info = self
+            .staging
+            .get(name)
+            .map(|s| s.info.clone())
+            .ok_or_else(|| Error::NotCheckedOut(name.to_owned()))?;
         let handle = self
             .cvds
             .get_mut(&info.cvd)
             .ok_or_else(|| Error::CvdNotFound(info.cvd.clone()))?;
-        let result = if &schema == handle.cvd.schema() {
+        let result = if schema == handle.cvd.schema() {
             handle.cvd.commit(&info.parents, rows, message, &author)?
         } else {
             handle
                 .cvd
-                .commit_with_schema(&info.parents, &schema, rows, message, &author)?
+                .commit_with_schema(&info.parents, schema, rows, message, &author)?
         };
-        let new_rids: Vec<partition::Rid> = {
-            let total = handle.cvd.num_records();
-            ((total - result.new_records)..total)
-                .map(|i| partition::Rid(i as u64))
-                .collect()
-        };
+        // Physical apply: new rids are those the commit introduced.
+        let total = handle.cvd.num_records();
+        let new_rids: Vec<partition::Rid> = ((total - result.new_records)..total)
+            .map(|i| partition::Rid(i as u64))
+            .collect();
+        let mut tracker = self.tracker.borrow_mut();
         handle.model.apply_commit(
             &mut self.db,
             &handle.cvd,
             result.vid,
             &new_rids,
-            &mut self.tracker.borrow_mut(),
+            &mut tracker,
         )?;
-        self.staging.remove(file);
-        self.db
-            .metrics()
-            .observe_duration("orpheus.commit.latency_us", start.elapsed());
+        if let Some(p) = handle.partitioned.as_mut() {
+            // Online maintenance: attach to the best parent's partition,
+            // or open a new partition for a root version.
+            let best_parent = info
+                .parents
+                .iter()
+                .max_by_key(|&&pv| handle.cvd.graph().weight(pv, result.vid))
+                .copied();
+            let (pid, fresh) = match best_parent {
+                Some(parent) => (p.partitioning().partition_of(parent), false),
+                None => (p.partitioning().num_partitions(), true),
+            };
+            p.append_version(
+                &mut self.db,
+                &handle.cvd,
+                result.vid,
+                pid,
+                fresh,
+                &mut tracker,
+            )?;
+        }
+        drop(tracker);
+        // Cleanup: retire the staging entry and its table (§3.3.1).
+        self.staging.remove(name);
+        // Durability point: once the version graph and data tables hold
+        // the new version, checkpoint so a crash cannot lose it. On an
+        // in-memory instance this is a no-op; under group commit the
+        // server issues one checkpoint per batch instead.
+        if self.auto_checkpoint {
+            self.checkpoint()?;
+        }
         Ok(result)
     }
 
@@ -961,8 +974,8 @@ impl OrpheusDb {
             }
             "init" => {
                 // `init <cvd> -f <csv path> -s <schema> [-k pk,…]`: bulk
-                // load from a server-side CSV file (the CLI shell has its
-                // own client-side variant of this command).
+                // load from a CSV file on the engine's host (the shell's
+                // and the server's `init` alike).
                 let name = arg_at(&args, 1)?.to_owned();
                 let path = flag_value(&args, "-f")?;
                 let spec = flag_value(&args, "-s")?;
@@ -1125,6 +1138,12 @@ impl OrpheusDb {
             other => Err(Error::Parse(format!("unknown command: {other}"))),
         }
     }
+}
+
+/// The error for table access to a staging entry that holds no table (a
+/// CSV checkout).
+fn not_a_table(name: &str) -> Error {
+    relstore::Error::TableNotFound(name.to_owned()).into()
 }
 
 fn arg_at<'a>(args: &[&'a str], i: usize) -> Result<&'a str> {
@@ -1447,6 +1466,108 @@ mod tests {
             )
             .unwrap();
         assert_eq!(res.new_records, 1);
+    }
+
+    /// Regression: `commit_csv` used to skip partition maintenance, so
+    /// after `optimize` the CSV version was missing from the partitioned
+    /// store and the next table commit panicked in the cost model.
+    #[test]
+    fn commit_csv_after_optimize_maintains_the_partitioned_store() {
+        let mut odb = setup();
+        odb.optimize("Interaction", 2.0).unwrap();
+        let csv = odb.checkout_csv("Interaction", &[Vid(0)], "f.csv").unwrap();
+        let edited = format!("{csv}G,H,70\n");
+        let spec = "protein1:text,protein2:text,coexpression:int";
+        let v1 = odb
+            .commit_csv("f.csv", &edited, spec, "via csv")
+            .unwrap()
+            .vid;
+        let (rows, _) = odb.checkout_rows_fast("Interaction", v1).unwrap();
+        assert_eq!(rows.len(), 4);
+        odb.checkout("Interaction", &[v1], "w").unwrap();
+        let v2 = odb.commit("w", "after csv").unwrap().vid;
+        let (rows, _) = odb.checkout_rows_fast("Interaction", v2).unwrap();
+        assert_eq!(rows.len(), 4);
+    }
+
+    /// Regression: `commit_csv` used to acknowledge a version without a
+    /// durability point, so a reopen lost it.
+    #[test]
+    fn durable_commit_csv_survives_reopen() {
+        let dir = std::env::temp_dir().join(format!("orpheus-csv-durable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let (mut odb, _) = OrpheusDb::open_durable(&dir, 64).unwrap();
+            odb.create_user("alice").unwrap();
+            odb.login("alice").unwrap();
+            let schema = Schema::new(vec![Column::new("x", DataType::Int64)]);
+            odb.init_cvd("d", schema, vec!["x".into()], vec![vec![Value::Int64(1)]])
+                .unwrap();
+            let csv = odb.checkout_csv("d", &[Vid(0)], "d.csv").unwrap();
+            odb.commit_csv("d.csv", &format!("{csv}2\n"), "x:int", "add 2")
+                .unwrap();
+            // No explicit checkpoint: the commit's own must suffice.
+        }
+        let (odb, _) = OrpheusDb::open_durable(&dir, 64).unwrap();
+        assert_eq!(odb.cvd("d").unwrap().num_versions(), 2);
+        let v1 = odb.run("SELECT * FROM VERSION 1 OF CVD d").unwrap();
+        assert_eq!(v1.rows.len(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Regression: `drop` used to forget its staging entries but leave
+    /// their tables behind, so the names could never be checked out again.
+    #[test]
+    fn drop_releases_its_staging_names() {
+        let mut odb = setup();
+        odb.execute("checkout Interaction -v 0 -t stage").unwrap();
+        odb.execute("drop Interaction").unwrap();
+        assert!(odb.staging_info("stage").is_none());
+        let schema = Schema::new(vec![Column::new("x", DataType::Int64)]);
+        odb.init_cvd(
+            "Interaction",
+            schema,
+            vec!["x".into()],
+            vec![vec![Value::Int64(1)]],
+        )
+        .unwrap();
+        odb.execute("checkout Interaction -v 0 -t stage").unwrap();
+        assert_eq!(odb.staging_table("stage").unwrap().live_row_count(), 1);
+    }
+
+    /// A checkout into a name the staging registry already holds is
+    /// refused in either form, and the existing entry is kept. Staging
+    /// tables never enter the `Database` catalog.
+    #[test]
+    fn checkout_into_a_held_staging_name_is_refused() {
+        let mut odb = setup();
+        odb.checkout("Interaction", &[Vid(0)], "w").unwrap();
+        assert!(
+            !odb.db.has_table("w"),
+            "staging tables stay out of the catalog"
+        );
+        odb.staging_table_mut("w")
+            .unwrap()
+            .insert(vec![Value::from("G"), Value::from("H"), Value::Int64(7)])
+            .unwrap();
+        let exists =
+            |r: Result<_>| matches!(r, Err(Error::Storage(relstore::Error::TableExists(_))));
+        assert!(exists(
+            odb.checkout_csv("Interaction", &[Vid(0)], "w").map(drop)
+        ));
+        assert!(exists(odb.checkout("Interaction", &[Vid(0)], "w")));
+        assert_eq!(
+            odb.staging_table("w").unwrap().live_row_count(),
+            4,
+            "table kept"
+        );
+        assert_eq!(odb.commit("w", "kept").unwrap().new_records, 1);
+        odb.checkout_csv("Interaction", &[Vid(0)], "f.csv").unwrap();
+        assert!(exists(odb.checkout("Interaction", &[Vid(0)], "f.csv")));
+        assert!(exists(
+            odb.checkout_csv("Interaction", &[Vid(0)], "f.csv")
+                .map(drop)
+        ));
     }
 
     #[test]
@@ -1875,9 +1996,21 @@ mod tests {
     fn spans_command_shows_the_command_tree() {
         let mut odb = setup();
         odb.checkout("Interaction", &[Vid(0)], "w").unwrap();
+        odb.checkout_csv("Interaction", &[Vid(0)], "w.csv").unwrap();
         odb.commit("w", "noop").unwrap();
         odb.run("SELECT * FROM VERSION 1 OF CVD Interaction")
             .unwrap();
+        // Both checkout forms run under `orpheus.checkout`, with the
+        // staging build as a child span.
+        let report = odb.recorder().report();
+        let checkout = report.find("orpheus.checkout").unwrap();
+        assert_eq!(checkout.count, 2);
+        let stage = checkout
+            .children
+            .iter()
+            .find(|c| c.name == "orpheus.checkout.stage")
+            .unwrap_or_else(|| panic!("no staging span: {:?}", checkout.children));
+        assert_eq!(stage.count, 2);
         match odb.execute("spans").unwrap() {
             CommandOutput::Message(m) => {
                 assert!(m.contains("orpheus.checkout"), "{m}");

@@ -15,12 +15,17 @@ use pagestore::{
     BufferPool, Error, FaultKind, FaultPager, FaultPlan, FaultWal, FilePager, FileWalStore, Wal,
 };
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const CAP: usize = 8;
 
+/// A scratch directory no other call shares: the matrix tests run in
+/// parallel and each probes the clean commit in its own store.
 fn unique_base(tag: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!(
-        "pagestore-crash-matrix-{tag}-{}",
+        "pagestore-crash-matrix-{tag}-{}-{n}",
         std::process::id()
     ))
 }

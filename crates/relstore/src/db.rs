@@ -12,11 +12,12 @@ use std::rc::Rc;
 
 /// A database: a catalog of named tables sharing one buffer pool.
 ///
-/// OrpheusDB keeps its CVD data tables, versioning tables, metadata tables,
-/// and the temporary staging area (checked-out tables) all in one database,
-/// as the original does with a single PostgreSQL schema — and, like
-/// PostgreSQL's `shared_buffers`, every table created through the catalog
-/// competes for the same pool of page frames.
+/// OrpheusDB keeps its CVD data tables, versioning tables and metadata
+/// tables in one database, as the original does with a single PostgreSQL
+/// schema — and, like PostgreSQL's `shared_buffers`, every table created
+/// through the catalog competes for the same pool of page frames. Tables
+/// built over [`pool`](Self::pool) outside the catalog (OrpheusDB's
+/// staging tables) share those frames too.
 #[derive(Debug)]
 pub struct Database {
     tables: BTreeMap<String, Table>,

@@ -58,7 +58,6 @@ pub mod explain;
 pub mod expr;
 pub mod index;
 pub mod par;
-pub mod plan;
 pub mod schema;
 pub mod table;
 pub mod value;
@@ -76,7 +75,6 @@ pub use explain::{
 pub use expr::{AggFunc, BinOp, Expr};
 pub use index::{Index, IndexKind};
 pub use par::{morsel_pages, ParHashJoin, MORSEL_PAGES};
-pub use plan::{choose_join, run_rid_join, JoinChoice};
 pub use schema::{Column, Schema};
 pub use table::{Clustering, Row, RowId, Table, DEFAULT_POOL_PAGES};
 pub use value::{DataType, Value};
